@@ -2,9 +2,9 @@
 """Wall-clock + wire-byte benchmark of the mixed-precision policy.
 
 Times steady-state baroclinic steps of the tiny demo at the fp64 and
-``mixed`` precision policies on every execution tier — eager dispatch,
-sealed-graph replay with the workspace arena, and the compiled tier —
-then measures the halo wire bytes of a 2-rank run under both policies
+``mixed`` precision policies on both execution tiers — eager dispatch
+and compiled sealed-graph replay with the workspace arena — then
+measures the halo wire bytes of a 2-rank run under both policies
 from the SimWorld TrafficLedger.  Writes ``BENCH_precision.json`` with
 best-of-``repeats`` steps/sec per (policy, tier), the per-phase halo
 byte volumes and the 3-D halo reduction factor.
@@ -38,9 +38,8 @@ from repro.ocean.model import ModelParams, run_distributed
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
 
 TIERS = {
-    "eager": dict(graph=False, arena=False, jit=False),
-    "graph_arena": dict(graph=True, arena=True, jit=False),
-    "graph_jit": dict(graph=True, arena=True, jit=True),
+    "eager": dict(graph=False, arena=False),
+    "graph_jit": dict(graph=True, arena=True),
 }
 PRECISIONS = ("double", "mixed")
 

@@ -9,14 +9,15 @@ kernelcheck footprints of each plan part.  Four rule families fall out
 of the walk (see DESIGN.md §2.13):
 
 ``graph-race``
-    Cross-part read/write hazards inside a fused node that an
-    interpreted *tiled* sweep cannot honour — an independent re-proof of
-    the fusion pass's legality decision that deliberately does **not**
-    reuse :func:`repro.kokkos.jit.parts_independent`.  Shared memory is
-    detected on the resolved buffers (``np.shares_memory``), and the
-    only exemption is the one tiling actually grants: accesses at loop
-    offset 0 on every axis, where per-tile capture order reproduces the
-    eager order exactly.
+    Cross-part read/write hazards inside an eager-tier fused node that a
+    *tiled* sweep of the fused body cannot honour.  Compiled plans run
+    fused parts whole-range in sequence, so only plans the graph did not
+    lower carry this obligation; the rule is the defence in depth that
+    refuses such a node rather than trusting how it will be executed.
+    Shared memory is detected on the resolved buffers
+    (``np.shares_memory``), and the only exemption is the one tiling
+    actually grants: accesses at loop offset 0 on every axis, where
+    per-tile capture order reproduces the eager order exactly.
 ``stale-halo``
     A stencil launch reads a view's boundary ring at a point where the
     schedule has written the interior since the last halo refresh and
@@ -28,7 +29,7 @@ of the walk (see DESIGN.md §2.13):
 ``graph-fence``
     Host glue that reads (or overwrites) a buffer with launches still
     pending and no declared ``fence()`` — correct today on the
-    synchronous interpreted backends, wrong on any asynchronous plan.
+    synchronous backends, wrong on any asynchronous plan.
 
 The walk runs several passes over the node list so steady-state
 staleness wraps around the step boundary (a captured graph replays in a
@@ -39,7 +40,7 @@ Entry points: :func:`check_graph` (all families, one sealed graph),
 :func:`check_fusion_legality` / :func:`certify_fusion` (the
 ``seal(certify=True)`` hook), and :func:`run_graphcheck` (the
 ``python -m repro lint --graph`` driver: builds the demo model on every
-backend in both jit modes and verifies each sealed step graph).
+backend and verifies each sealed step graph).
 """
 
 from __future__ import annotations
@@ -127,11 +128,32 @@ class PartAccess:
     line: Optional[int] = None
 
 
-def _part_access(label: str, functor, ndim: int) -> PartAccess:
-    from ..kokkos.jit import part_footprint
+#: (functor_type, ndim) -> kernelcheck footprint (None on analyzer crash).
+_FP_CACHE: Dict[Tuple[type, int], object] = {}
 
+
+def _part_footprint(ftype: type, ndim: int):
+    """Cached kernelcheck footprint of one plan part.
+
+    Returns ``None`` when the static analyzer itself fails (callers must
+    stay conservative); a footprint whose ``error`` is set means the
+    body resisted analysis.
+    """
+    key = (ftype, ndim)
+    if key not in _FP_CACHE:
+        try:
+            from .footprint import build_footprint
+
+            _FP_CACHE[key] = build_footprint(ftype.__name__, ftype,
+                                             ndim=ndim, kind="for")
+        except Exception:
+            _FP_CACHE[key] = None
+    return _FP_CACHE[key]
+
+
+def _part_access(label: str, functor, ndim: int) -> PartAccess:
     pa = PartAccess(label=label, functor=functor, ndim=ndim)
-    fp = part_footprint(type(functor), ndim)
+    fp = _part_footprint(type(functor), ndim)
     if fp is None or fp.error is not None:
         pa.unanalyzable = fp.error if fp is not None else "no footprint"
         return pa
@@ -175,17 +197,17 @@ def _hazard_kind(w_i: bool, r_i: bool, w_j: bool, r_j: bool) -> Optional[str]:
 
 
 def check_fusion_legality(graph: LaunchGraph) -> List[Finding]:
-    """Re-prove every fused node of a sealed graph tiling-safe.
+    """Re-prove every eager-tier fused node of a sealed graph tiling-safe.
 
-    Compiled tiers run fused parts whole-range with a stage barrier
+    Compiled plans run fused parts whole-range with a stage barrier
     between parts — the eager sequence exactly — so only *eager-tier*
-    fused nodes carry a tiling obligation.  For those, any cross-part
-    pair of accesses to shared memory is a hazard unless every involved
-    access sits at loop offset 0 on all axes (within one tile the parts
-    then run in capture order over identical points, which is the eager
-    interleaving).  The proof works from the kernelcheck footprints and
-    the *resolved buffers* of the bound functors; it never consults
-    ``parts_independent``, so a bug there cannot hide here.
+    fused nodes (no plan, or a plan the graph did not lower) carry a
+    tiling obligation.  For those, any cross-part pair of accesses to
+    shared memory is a hazard unless every involved access sits at loop
+    offset 0 on all axes (within one tile the parts then run in capture
+    order over identical points, which is the eager interleaving).  The
+    proof works from the kernelcheck footprints and the *resolved
+    buffers* of the bound functors.
     """
     findings: List[Finding] = []
     for node in graph.nodes:
@@ -238,8 +260,8 @@ def _pair_hazards(node: KernelNode, pi: PartAccess,
                         f"{view!r} with a cross-part {kind} at stencil "
                         f"offsets up to "
                         f"{max(vf_i.halo_width, vf_j.halo_width)}: a tiled "
-                        f"interpreted sweep diverges from the eager launch "
-                        f"order"),
+                        f"sweep of the fused body diverges from the eager "
+                        f"launch order"),
                 file=pi.file, line=pi.line)
 
 
@@ -632,18 +654,16 @@ class GraphLintConfig:
     """Configuration for :func:`run_graphcheck`.
 
     The driver builds the demo model with graph capture on for every
-    ``backend`` x ``jit`` combination, steps it until both step
-    variants (startup forward step, leapfrog) have sealed, and walks
-    each sealed graph.  Identical findings from different combinations
-    are reported once, tagged with the first configuration that hit
-    them.
+    ``backend``, steps it until both step variants (startup forward
+    step, leapfrog) have sealed, and walks each sealed graph.  Identical
+    findings from different backends are reported once, tagged with the
+    first configuration that hit them.
     """
 
     backends: Sequence[str] = ("serial", "openmp", "athread", "cuda")
-    jit_modes: Sequence[bool] = (False, True)
     #: Precision presets to verify; "mixed" exercises the
     #: precision-promotion rules on a schedule with real cast
-    #: boundaries (serial/jit-off only, to bound the matrix).
+    #: boundaries (first backend only, to bound the matrix).
     precisions: Sequence[str] = ("double", "mixed")
     size: str = "tiny"
     steps: int = 2
@@ -663,17 +683,16 @@ def run_graphcheck(config: Optional[GraphLintConfig] = None) -> Report:
     report = Report(rules_run=list(GRAPH_RULES), tool="graphcheck")
     seen: Dict[str, Finding] = {}
     kernels = 0
-    combos = [(b, j, cfg.precisions[0] if cfg.precisions else "double")
-              for b in cfg.backends for j in cfg.jit_modes]
-    # non-default presets verified once each on the serial/jit-off
+    combos = [(b, cfg.precisions[0] if cfg.precisions else "double")
+              for b in cfg.backends]
+    # non-default presets verified once each on the first backend's
     # schedule (the graphs are backend-independent node lists)
-    combos += [(cfg.backends[0], False, p) for p in cfg.precisions[1:]]
-    for backend, jit, precision in combos:
-        tag = (f"backend={backend}, jit={'on' if jit else 'off'}, "
-               f"precision={precision}")
+    combos += [(cfg.backends[0], p) for p in cfg.precisions[1:]]
+    for backend, precision in combos:
+        tag = f"backend={backend}, precision={precision}"
         model = LICOMKpp(
             demo(cfg.size), backend=backend,
-            params=ModelParams(graph=True, jit=jit, check_every=0,
+            params=ModelParams(graph=True, check_every=0,
                                precision=precision))
         try:
             model.run_steps(cfg.steps)

@@ -103,11 +103,7 @@ def collect_footprints(cfg: LintConfig,
     """Import kernel modules and footprint every registered functor.
 
     ``registry`` defaults to the process registry; tests pass a private
-    one.  JIT-generated functors are *derived artifacts*: a registered
-    type carrying ``__kernelcheck_source__`` is linted as its declared
-    source functor (the lowered body is generated from it), so a defect
-    in the source is reported whether or not the compiled tier served
-    the launch.
+    one.
     """
     from repro.kokkos.registry import default_registry
 
@@ -118,7 +114,7 @@ def collect_footprints(cfg: LintConfig,
     seen: Set[type] = set()
     reg = registry if registry is not None else default_registry()
     for entry in reg.entries():
-        ft = resolve_lint_target(entry.functor_type)
+        ft = entry.functor_type
         if ft in seen:
             continue
         seen.add(ft)
@@ -132,17 +128,6 @@ def collect_footprints(cfg: LintConfig,
             build_footprint(entry.name, ft, entry.ndim, entry.kind))
     footprints.sort(key=lambda fp: fp.kernel)
     return footprints
-
-
-def resolve_lint_target(functor_type: type) -> type:
-    """Follow ``__kernelcheck_source__`` chains to the declared source."""
-    seen = set()
-    while True:
-        src = getattr(functor_type, "__kernelcheck_source__", None)
-        if src is None or src in seen:
-            return functor_type
-        seen.add(functor_type)
-        functor_type = src
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ Commands
     Static analysis of every registered kernel (kernelcheck):
     ``python -m repro lint [--format json] [--baseline file]``; with
     ``--graph``, whole-schedule verification of the sealed launch
-    graphs (graphcheck) across every backend and jit mode.  The exit
+    graphs (graphcheck) across every backend.  The exit
     code fails on error findings only; ``--strict`` fails on warnings.
 ``trace``
     Step a small model with span tracing on and export a Chrome
@@ -154,7 +154,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
     if args.graph:
         # whole-schedule verification: build the demo model on every
-        # backend in both jit modes and walk each sealed launch graph
+        # backend and walk each sealed launch graph
         from .analysis import run_graphcheck
 
         report = run_graphcheck()
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="verify sealed launch graphs (graphcheck) instead "
                            "of the per-kernel rules: dataflow hazards, halo "
                            "freshness, fence discipline across every "
-                           "backend x jit mode")
+                           "backend")
     lint.add_argument("--strict", action="store_true",
                       help="fail on warnings too (default: errors only)")
     lint.add_argument("-v", "--verbose", action="store_true",

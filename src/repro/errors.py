@@ -36,12 +36,21 @@ class LDMError(KokkosError):
     """Local Data Memory (LDM) capacity or allocation failure."""
 
 
+class GraphSealError(KokkosError):
+    """A launch could not be prepared or lowered at ``LaunchGraph.seal``.
+
+    The message names the kernel label and backend; the underlying
+    error (an :class:`LDMError`, a failed lowering, ...) is chained as
+    ``__cause__``."""
+
+
 class GraphCertificationError(KokkosError):
     """A sealed launch graph failed static certification.
 
     Raised by ``LaunchGraph.seal(certify=True)`` when the graphcheck
     dataflow verifier proves a fused node illegal (a cross-part hazard
-    an interpreted tiled sweep cannot honour)."""
+    a tiled eager-tier sweep cannot honour) or finds a silent
+    fp32->fp64 promotion."""
 
 
 class OceanError(ReproError):

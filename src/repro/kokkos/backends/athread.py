@@ -53,6 +53,7 @@ from ..policy import (
 )
 from ..registry import default_registry
 from .base import (
+    CompiledPlan,
     ExecutionSpace,
     LaunchPlan,
     Reducer,
@@ -66,35 +67,25 @@ from .base import (
 SW26010_CPES_PER_CG = 64
 
 
-class _AthreadPlan(LaunchPlan):
+class _AthreadPlan(CompiledPlan):
     """Registry lookup, tiling, LDM fit proof and DMA sizes baked in.
 
     The eager path pays registry walk + tile sizing per launch and an
     LDM alloc / DMA get / DMA put / LDM free cycle per tile.  Sealing a
-    plan does all of that once: the fit proof runs at seal time, and
-    the per-tile staging sizes are pre-summed into per-launch DMA
-    totals and per-CPE LDM peaks, so a replay is the bare tile sweep
-    followed by one batched ledger update.  The accounting the machine
-    model consumes (DMA byte/descriptor totals, LDM high water) ends
+    plan does all of that once: the registration check and the LDM fit
+    proof run at seal time, and the per-tile staging sizes are
+    pre-summed into per-launch DMA totals and per-CPE LDM peaks, so a
+    replay is the compiled whole-range sweep followed by one batched
+    ledger update.  The accounting the machine model consumes (DMA
+    byte/descriptor totals, LDM high water, tile distribution) ends
     each launch identical to the eager path.
     """
 
-    __slots__ = ("_callback", "_apply", "_tile_slices", "_distribution",
-                 "_get_total", "_put_total", "_ldm_peaks")
-
-    supports_compiled = True
+    __slots__ = ("_distribution", "_get_total", "_put_total", "_ldm_peaks")
 
     def __init__(self, space, label, policy, functor) -> None:
-        super().__init__(space, label, policy, functor)
         check_host_views(functor, space.name)
-        self._callback = space._lookup_callback(functor, "for")
-        # When the registered callback is the generated trampoline and the
-        # functor has a vectorised ``apply``, the trampoline reduces to
-        # ``functor.apply(tuple(slices))`` — bind that once so the replay
-        # sweep skips the per-tile indirection.
-        self._apply = None
-        if getattr(self._callback, "generated_trampoline", False):
-            self._apply = getattr(functor, "apply", None)
+        space._lookup_callback(functor, "for")
         tile = space.choose_tile(policy, functor)
         ntiles = total_tiles(policy.extents, tile)
         self._distribution = (ntiles, tiles_per_cpe(ntiles, space.num_cpes))
@@ -102,7 +93,6 @@ class _AthreadPlan(LaunchPlan):
         _, bpp = functor_cost(functor)
         bpp_in = float(getattr(functor, "bytes_in_per_point", bpp * 2.0 / 3.0))
         bpp_out = float(getattr(functor, "bytes_out_per_point", bpp / 3.0))
-        self._tile_slices = []
         get_total = put_total = 0.0
         peaks = {}
         for tidx, slices in enumerate(iter_tiles(policy.ranges, tile)):
@@ -117,7 +107,6 @@ class _AthreadPlan(LaunchPlan):
                     f"{space.ldm[cpe].capacity} B LDM of CPE {cpe}; "
                     "use a smaller MDRangePolicy tile"
                 )
-            self._tile_slices.append(tuple(slices))
             get_total += staged * bpp_in
             put_total += tile_volume(slices) * bpp_out
             if working > peaks.get(cpe, 0):
@@ -125,26 +114,10 @@ class _AthreadPlan(LaunchPlan):
         self._get_total = get_total
         self._put_total = put_total
         self._ldm_peaks = [(space.ldm[cpe], w) for cpe, w in peaks.items()]
+        super().__init__(space, label, policy, functor)
 
     def run(self) -> None:
-        functor = self.functor
-        apply = self._apply
-        callback = self._callback
-        compiled = self._compiled
-        if compiled is not None:
-            # whole-range compiled sweep; the batched DMA/LDM ledger
-            # below is unchanged, so the machine-model accounting stays
-            # identical to the tiled interpretation
-            compiled()
-        elif apply is not None:
-            for slices in self._tile_slices:
-                apply(slices)
-        elif callback is not None:
-            for slices in self._tile_slices:
-                callback(functor, slices)
-        else:
-            for slices in self._tile_slices:
-                apply_tile(functor, slices)
+        self._sweep()
         space = self.space
         ntiles = self._distribution[0]
         space.dma.get_batch(self._get_total, ntiles)

@@ -22,6 +22,7 @@ import numpy as np
 
 from ...errors import BackendError
 from ..instrument import Instrumentation, get_instrumentation
+from ..jit import TIER_CODEGEN, TIER_EAGER, JitCache, compile_sweep
 from ..policy import MDRangePolicy, as_md
 from ..spaces import HostSpace, MemorySpace
 from ..view import View
@@ -107,11 +108,11 @@ class ExecutionSpace:
         #: :class:`~repro.kokkos.context.ExecutionContext`; every launch
         #: becomes a ``kernel`` span while it is enabled.
         self.tracer = None
-        #: Lazily-created :class:`repro.kokkos.jit.JitCache` — lowered
-        #: kernels for sealed graphs on this space.  Per space (and the
-        #: space is per :class:`~repro.kokkos.context.ExecutionContext`),
-        #: so ranks never share compilation state.
-        self.jit_cache = None
+        #: Lowered kernels for sealed graphs on this space.  Per space
+        #: (and the space is per
+        #: :class:`~repro.kokkos.context.ExecutionContext`), so ranks never
+        #: share compilation state.
+        self.jit_cache = JitCache()
 
     # -- required API ------------------------------------------------------
 
@@ -161,9 +162,10 @@ class ExecutionSpace:
         A :class:`LaunchPlan` bakes in everything ``parallel_for`` would
         redo on every call — policy normalisation, memory-space checks,
         tiling, registry lookup — so :meth:`run_plan` is near-zero
-        dispatch.  Backends override this with their own plan type; the
-        base implementation falls back to eager ``run_for`` per replay,
-        so any custom backend stays graph-compatible.
+        dispatch.  Backends override this with their own
+        :class:`CompiledPlan` type; the base implementation falls back
+        to eager ``run_for`` per replay, so any custom backend stays
+        graph-compatible.
         """
         return _GenericPlan(self, label, as_md(policy), functor)
 
@@ -182,9 +184,9 @@ class ExecutionSpace:
             # a fused sweep replays as ONE launch: one span, with the
             # constituent kernel labels in the payload
             args["fused"] = list(labels)
-        if plan.tier != "eager":
-            # compiled vs interpreted launches are distinguishable in
-            # Perfetto (and priced differently by the predicted timeline)
+        if plan.tier != TIER_EAGER:
+            # compiled launches are distinguishable in Perfetto (and
+            # priced differently by the predicted timeline)
             args["jit"] = plan.tier
         with tr.span(plan.label, cat="kernel", **args):
             plan.run()
@@ -214,12 +216,11 @@ class LaunchPlan:
     """
 
     __slots__ = ("space", "label", "policy", "functor",
-                 "_points", "_flops", "_bytes", "tier", "_compiled")
+                 "_points", "_flops", "_bytes")
 
-    #: Whether :mod:`repro.kokkos.jit` may attach a compiled sweep.
-    #: Only the concrete backend plans opt in; the generic fallback
-    #: (and with it every run_for-intercepting subclass) stays eager.
-    supports_compiled = False
+    #: Execution tier serving this plan: ``eager`` (dispatched through
+    #: ``run_for``) or ``codegen`` (:mod:`repro.kokkos.jit`).
+    tier = TIER_EAGER
 
     def __init__(self, space: ExecutionSpace, label: str,
                  policy: MDRangePolicy, functor) -> None:
@@ -229,15 +230,6 @@ class LaunchPlan:
         self.functor = functor
         self._points = policy.size
         self._flops, self._bytes = functor_cost(functor)
-        #: Execution tier serving this plan: ``eager`` (interpreted),
-        #: ``codegen`` or ``njit`` — see :mod:`repro.kokkos.jit`.
-        self.tier = "eager"
-        self._compiled = None
-
-    def attach_compiled(self, sweep) -> None:
-        """Adopt a :class:`repro.kokkos.jit.CompiledSweep`."""
-        self._compiled = sweep.fn
-        self.tier = sweep.tier
 
     def _record(self, tiles: int) -> None:
         self.space.inst.record_launch(
@@ -252,13 +244,44 @@ class LaunchPlan:
         raise NotImplementedError
 
 
+class CompiledPlan(LaunchPlan):
+    """A plan whose replay body is one codegen sweep.
+
+    The sweep runs each part of the (possibly fused) functor over the
+    whole range, one part after another — the eager launch sequence —
+    so a fused dependent stencil chain never runs tiled.  Lowering
+    failures raise here, at seal time.
+    """
+
+    __slots__ = ("_sweep",)
+
+    tier = TIER_CODEGEN
+
+    def __init__(self, space: ExecutionSpace, label: str,
+                 policy: MDRangePolicy, functor) -> None:
+        super().__init__(space, label, policy, functor)
+        self._sweep = compile_sweep(space, label, policy, functor)
+
+
 class _GenericPlan(LaunchPlan):
-    """Fallback plan: eager dispatch on every replay."""
+    """Fallback plan: eager dispatch on every replay.
+
+    Backends that intercept ``run_for`` get this plan, so every launch
+    still passes through their hook.  A fused node replays as its
+    captured launches, each over the whole range: the eager sequence,
+    never a tiled sweep of a dependent chain.
+    """
 
     __slots__ = ()
 
     def run(self) -> None:
-        self.space.run_for(self.label, self.policy, self.functor)
+        run_for = self.space.run_for
+        parts = getattr(self.functor, "parts", None)
+        if parts is None:
+            run_for(self.label, self.policy, self.functor)
+            return
+        for label, part in zip(self.functor.labels, parts):
+            run_for(label, self.policy, part)
 
 
 def apply_tile(functor, slices: Sequence[slice]) -> None:

@@ -33,6 +33,7 @@ from ..policy import MDRangePolicy, as_md
 from ..spaces import DeviceSpace
 from ..view import kernel_context
 from .base import (
+    CompiledPlan,
     ExecutionSpace,
     LaunchPlan,
     Reducer,
@@ -42,7 +43,7 @@ from .base import (
 )
 
 
-class _DevicePlan(LaunchPlan):
+class _DevicePlan(CompiledPlan):
     """Memory-space proof and block geometry precomputed.
 
     Replay still counts a kernel launch and executes inside a
@@ -50,24 +51,17 @@ class _DevicePlan(LaunchPlan):
     per-launch cost the perfmodel charges) are identical to eager.
     """
 
-    __slots__ = ("_slices", "_blocks")
-
-    supports_compiled = True
+    __slots__ = ("_blocks",)
 
     def __init__(self, space, label, policy, functor) -> None:
-        super().__init__(space, label, policy, functor)
         space._check_device_views(functor)
-        self._slices = space._full_slices(policy)
+        super().__init__(space, label, policy, functor)
         self._blocks = max(1, -(-policy.size // space.threads_per_block))
 
     def run(self) -> None:
         self.space.kernel_launches += 1
-        compiled = self._compiled
         with kernel_context():
-            if compiled is not None:
-                compiled()
-            else:
-                apply_tile(self.functor, self._slices)
+            self._sweep()
         self._record(tiles=self._blocks)
 
 

@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 from ..instrument import Instrumentation
 from ..policy import MDRangePolicy, as_md
 from .base import (
+    CompiledPlan,
     ExecutionSpace,
     LaunchPlan,
     Reducer,
@@ -50,34 +51,20 @@ def _default_threads() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-class _OpenMPPlan(LaunchPlan):
-    """Chunk list precomputed; replay only submits and joins."""
+class _OpenMPPlan(CompiledPlan):
+    """Compiled sweep owning the chunk submission (one stage barrier per
+    fused part); replay only submits and joins."""
 
-    __slots__ = ("_chunk_slices",)
-
-    supports_compiled = True
+    __slots__ = ("_nchunks",)
 
     def __init__(self, space, label, policy, functor) -> None:
-        super().__init__(space, label, policy, functor)
         check_host_views(functor, space.name)
-        self._chunk_slices = space._chunks(policy)
+        super().__init__(space, label, policy, functor)
+        self._nchunks = len(space._chunks(policy))
 
     def run(self) -> None:
-        chunks = self._chunk_slices
-        compiled = self._compiled
-        if compiled is not None:
-            # the compiled sweep owns the chunk submission (one stage
-            # barrier per fused part)
-            compiled()
-        elif len(chunks) == 1:
-            apply_tile(self.functor, chunks[0])
-        else:
-            pool = self.space._executor()
-            futures = [pool.submit(apply_tile, self.functor, ch)
-                       for ch in chunks]
-            for f in futures:
-                f.result()
-        self._record(tiles=len(chunks))
+        self._sweep()
+        self._record(tiles=self._nchunks)
 
 
 class OpenMPBackend(ExecutionSpace):

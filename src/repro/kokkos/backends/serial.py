@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ..policy import MDRangePolicy, as_md
 from .base import (
+    CompiledPlan,
     ExecutionSpace,
     LaunchPlan,
     Reducer,
@@ -19,27 +20,17 @@ from .base import (
 )
 
 
-class _SerialPlan(LaunchPlan):
-    """Whole-range tile with slices and checks precomputed."""
+class _SerialPlan(CompiledPlan):
+    """Whole-range compiled sweep with host-view checks done once."""
 
-    __slots__ = ("_slices", "_apply")
-
-    supports_compiled = True
+    __slots__ = ()
 
     def __init__(self, space, label, policy, functor) -> None:
-        super().__init__(space, label, policy, functor)
         check_host_views(functor, space.name)
-        self._slices = space._full_slices(policy)
-        self._apply = getattr(functor, "apply", None)
+        super().__init__(space, label, policy, functor)
 
     def run(self) -> None:
-        compiled = self._compiled
-        if compiled is not None:
-            compiled()
-        elif self._apply is not None:
-            self._apply(self._slices)
-        else:
-            apply_tile(self.functor, self._slices)
+        self._sweep()
         self._record(tiles=1)
 
 

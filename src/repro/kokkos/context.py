@@ -234,16 +234,10 @@ class ExecutionContext:
         """Per-context cache of compiled launch sweeps.
 
         Lives on the owned space (where :meth:`LaunchGraph.seal` looks
-        it up), created lazily; because every context owns its space,
-        ranks never share compilation state.  Cleared on :meth:`close`.
+        it up); because every context owns its space, ranks never share
+        compilation state.  Cleared on :meth:`close`.
         """
-        from .jit import JitCache
-
-        space = self.space
-        cache = getattr(space, "jit_cache", None)
-        if cache is None:
-            cache = space.jit_cache = JitCache()
-        return cache
+        return self.space.jit_cache
 
     @property
     def traffic(self):
@@ -315,16 +309,13 @@ class ExecutionContext:
         space = self._space
         if space is None:
             # default-context shim: the process default space (if one
-            # was ever built) carried this context's jit cache — clear
-            # it too, so a fresh context re-warns about degradations
-            # instead of inheriting the once-per-key silence
+            # was ever built) carried this context's compiled sweeps —
+            # clear them too
             from .parallel import peek_default_space
 
             space = peek_default_space()
         if space is not None:
-            cache = getattr(space, "jit_cache", None)
-            if cache is not None:
-                cache.clear()
+            space.jit_cache.clear()
         if self._owns_space and self._space is not None:
             shutdown = getattr(self._space, "shutdown", None)
             if shutdown is not None:

@@ -22,29 +22,22 @@ Two mechanisms keep replay valid across steps:
 
 On top of the recording, :meth:`LaunchGraph.seal` runs a *fusion* pass
 over maximal runs of adjacent ``parallel_for`` launches with identical
-iteration ranges and no intervening host node:
+iteration ranges and no intervening host node.  Runs whose parts are
+all point-local (``stencil_halo == 0``) merge into one
+:class:`FusedTileFunctor`; runs containing stencil parts merge into a
+:class:`FusedStencilFunctor` whose ``stencil_halo`` is the widest ring
+any part reads.  Either way the fused node pays one launch (one
+spawn/join on the CPEs, one kernel launch on the GPU) instead of N.
 
-* **Elementwise fusion** — runs whose parts are all point-local
-  (``stencil_halo == 0``) merge into one :class:`FusedTileFunctor`
-  sweep.  Point-local bodies over the same range commute with tiling,
-  so the fused launch is bitwise identical under any backend — while
-  paying one launch (one spawn/join on the CPEs, one kernel launch on
-  the GPU) instead of N.
-* **Halo-aware stencil fusion** — runs containing stencil parts
-  (``stencil_halo > 0``, the declaration kernelcheck already enforces)
-  merge into a :class:`FusedStencilFunctor` when the parts are provably
-  independent (no cross-part read/write hazard, from the kernelcheck
-  footprints — see :func:`repro.kokkos.jit.parts_independent`), and
-  — with the compiled tier on — even when they form a dependent chain,
-  because the compiled sweep runs each part whole-range with a stage
-  barrier between parts, reproducing the eager sequence exactly.
-
-Finally, when the ``jit`` knob resolves on (default; see
-:func:`repro.kokkos.jit.resolve_jit` / ``REPRO_JIT``), every sealed
-plan is lowered through :mod:`repro.kokkos.jit` into a compiled sweep
-cached on the owning execution space; plans that fail to lower degrade
-to their eager tier, and dependent stencil chains that cannot be
-compiled are un-fused back into the captured launches.
+Every sealed plan is then lowered through :mod:`repro.kokkos.jit` into
+a compiled sweep cached on the owning execution space.  The sweep runs
+each fused part over the whole range before the next part starts —
+exactly the eager launch sequence — so even dependent stencil chains
+fuse bitwise-identically.  Backends that intercept ``run_for`` get the
+generic plan instead, which replays a fused node as its captured
+launches, again whole-range and in order: no dependent chain ever runs
+tiled.  A launch that cannot be prepared or lowered fails the seal with
+a :class:`~repro.errors.GraphSealError` naming the kernel.
 """
 
 from __future__ import annotations
@@ -52,7 +45,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import jit as _jit
+from ..errors import GraphCertificationError, GraphSealError
 from .backends.base import ExecutionSpace, apply_tile
 from .functor import kokkos_register_for
 from .policy import MDRangePolicy, as_md
@@ -111,11 +104,9 @@ class FusedStencilFunctor(FusedTileFunctor):
 
     The instance's ``stencil_halo`` is the widest ring any part reads,
     so the Athread backend stages (and the LDM fit proof covers) the
-    union working set.  Safety is decided at fusion time: independent
-    parts commute with tiling like elementwise parts do; *dependent*
-    chains are only ever fused when the compiled tier executes them —
-    whole-range, part by part (interior and rim alike), which is
-    exactly the eager launch sequence.
+    union working set.  The parts may form a dependent chain: every
+    plan replays them whole-range, part by part (interior and rim
+    alike), which is exactly the eager launch sequence.
     """
 
     #: Composite body: kernelcheck analyses the parts individually.
@@ -130,22 +121,16 @@ class FusedStencilFunctor(FusedTileFunctor):
 class KernelNode:
     """One recorded ``parallel_for`` (label, policy, bound functor)."""
 
-    __slots__ = ("label", "policy", "functor", "plan", "fallback")
+    __slots__ = ("label", "policy", "functor", "plan")
 
     def __init__(self, label: str, policy: MDRangePolicy, functor) -> None:
         self.label = label
         self.policy = policy
         self.functor = functor
         self.plan = None
-        #: Original captured nodes to fall back to when this node is a
-        #: dependent fused chain and the compiled tier is unavailable.
-        self.fallback: Optional[List["KernelNode"]] = None
 
     def halo(self) -> int:
         return max(0, int(getattr(self.functor, "stencil_halo", 0)))
-
-    def fusible(self) -> bool:
-        return self.policy.tile is None and self.halo() == 0
 
     def can_fuse(self, other: "KernelNode") -> bool:
         """May ``other`` join a fusion group ending with this node?"""
@@ -211,13 +196,9 @@ class HostNode:
 class LaunchGraph:
     """A captured launch sequence, sealable into a replayable plan list."""
 
-    def __init__(self, space: ExecutionSpace, fuse: bool = True,
-                 jit: Optional[bool] = None) -> None:
+    def __init__(self, space: ExecutionSpace, fuse: bool = True) -> None:
         self.space = space
         self.fuse = fuse
-        #: Compiled execution tier (resolved: explicit arg beats the
-        #: ``REPRO_JIT`` environment override beats the on-default).
-        self.jit = _jit.resolve_jit(jit)
         self.nodes: List[object] = []
         self.sealed = False
         #: Binding signature the owner compares to decide re-capture.
@@ -244,73 +225,21 @@ class LaunchGraph:
 
     # -- fusion ------------------------------------------------------------
 
-    def _fused_node(self, run: List[KernelNode],
-                    fallback: Optional[List[KernelNode]]) -> KernelNode:
-        label = "fused[" + "+".join(n.label for n in run) + "]"
-        parts = [n.functor for n in run]
-        labels = [n.label for n in run]
-        halo = max(n.halo() for n in run)
+    def _flush_group(self, group: List[KernelNode],
+                     out: List[object]) -> None:
+        if len(group) < 2:
+            out.extend(group)
+            return
+        label = "fused[" + "+".join(n.label for n in group) + "]"
+        parts = [n.functor for n in group]
+        labels = [n.label for n in group]
+        halo = max(n.halo() for n in group)
         if halo == 0:
             functor = FusedTileFunctor(parts, labels)
         else:
             functor = FusedStencilFunctor(parts, labels, halo)
-        node = KernelNode(label, run[0].policy, functor)
-        node.fallback = fallback
+        out.append(KernelNode(label, group[0].policy, functor))
         self.fused_groups += 1
-        return node
-
-    def _segment_independent(self, group: List[KernelNode]
-                             ) -> List[KernelNode]:
-        """Greedy maximal tiling-safe runs of a same-range group.
-
-        A run may grow while it is either all point-local or provably
-        independent (:func:`repro.kokkos.jit.parts_independent`); the
-        first hazard — or analysis failure, treated as a hazard —
-        flushes it.  Used for the interpreted tiers, whose tiled sweeps
-        cannot honour cross-part dependences.
-        """
-        out: List[KernelNode] = []
-        run: List[KernelNode] = []
-
-        def flush() -> None:
-            if len(run) >= 2:
-                out.append(self._fused_node(list(run), None))
-            else:
-                out.extend(run)
-            run.clear()
-
-        ndim = len(group[0].policy.extents)
-        for node in group:
-            cand = run + [node]
-            if len(cand) > 1 and max(n.halo() for n in cand) > 0 \
-                    and _jit.parts_independent(
-                        [n.functor for n in cand], ndim) is not True:
-                flush()
-            run.append(node)
-        flush()
-        return out
-
-    def _flush_group(self, group: List[KernelNode],
-                     out: List[object]) -> None:
-        if not group:
-            return
-        if len(group) == 1:
-            out.append(group[0])
-            return
-        if max(n.halo() for n in group) == 0:
-            out.append(self._fused_node(list(group), None))
-            return
-        if self.jit:
-            # the compiled sweep runs each part whole-range with a stage
-            # barrier, so even dependent chains fuse — but keep the
-            # captured nodes around in case lowering fails at seal time
-            ndim = len(group[0].policy.extents)
-            indep = _jit.parts_independent(
-                [n.functor for n in group], ndim)
-            fallback = None if indep is True else list(group)
-            out.append(self._fused_node(list(group), fallback))
-            return
-        out.extend(self._segment_independent(group))
 
     def _fuse_nodes(self, nodes: List[object]) -> List[object]:
         out: List[object] = []
@@ -339,38 +268,29 @@ class LaunchGraph:
     def seal(self, certify: bool = False) -> "LaunchGraph":
         """Fuse compatible launches and prepare per-backend plans.
 
-        With the compiled tier on, each prepared plan is additionally
-        lowered through :mod:`repro.kokkos.jit` (cached on the owning
-        execution space); failures degrade per plan to the eager tier.
+        Each prepared plan is lowered through :mod:`repro.kokkos.jit`
+        (cached on the owning execution space).  Any failure to prepare
+        or lower a plan raises :class:`~repro.errors.GraphSealError`
+        naming the kernel; the original error is its ``__cause__``.
 
         With ``certify=True`` the sealed schedule is re-proven by the
         independent graphcheck verifier
-        (:func:`repro.analysis.graphcheck.certify_fusion`): any fused
-        node whose parts it cannot prove tiling-safe on an interpreted
-        tier raises :class:`~repro.errors.GraphCertificationError`
-        instead of sealing a schedule that could diverge from eager.
+        (:func:`repro.analysis.graphcheck.certify_fusion`): any eager-tier
+        fused node whose parts it cannot prove tiling-safe raises
+        :class:`~repro.errors.GraphCertificationError` instead of sealing
+        a schedule that could diverge from eager.
         """
         if self.sealed:
             return self
         with self._span("graph_seal", captured=self.captured_launches):
             if self.fuse:
                 self.nodes = self._fuse_nodes(self.nodes)
-            cache = None
-            if self.jit:
-                cache = getattr(self.space, "jit_cache", None)
-                if cache is None:
-                    cache = self.space.jit_cache = _jit.JitCache()
-            final: List[object] = []
             for node in self.nodes:
                 if isinstance(node, KernelNode):
-                    self._prepare_node(node, cache, final)
-                else:
-                    final.append(node)
-            self.nodes = final
+                    self._prepare_node(node)
         self.sealed = True
         if certify:
             from ..analysis.graphcheck import certify_fusion, certify_precision
-            from ..errors import GraphCertificationError
 
             refused = certify_fusion(self)
             if refused:
@@ -385,33 +305,15 @@ class LaunchGraph:
                     + "\n".join(f.format() for f in promoted))
         return self
 
-    def _prepare_node(self, node: KernelNode, cache, out: List[object]) -> None:
-        plan = None
-        sweep = None
-        failure: Optional[BaseException] = None
+    def _prepare_node(self, node: KernelNode) -> None:
         try:
-            plan = self.space.prepare_plan(node.label, node.policy,
-                                           node.functor)
-            if cache is not None and getattr(plan, "supports_compiled",
-                                             False):
-                sweep = _jit.compile_sweep(self.space, node.label,
-                                           node.policy, node.functor, cache)
+            node.plan = self.space.prepare_plan(node.label, node.policy,
+                                                node.functor)
         except Exception as exc:
-            failure = exc
-        if node.fallback is not None and sweep is None:
-            # a dependent stencil chain is only valid fused when the
-            # compiled tier guarantees whole-range stage barriers;
-            # without one, un-fuse back into tiling-safe pieces
-            self.fused_groups -= 1
-            for orig in self._segment_independent(node.fallback):
-                self._prepare_node(orig, cache, out)
-            return
-        if failure is not None:
-            raise failure
-        if sweep is not None:
-            plan.attach_compiled(sweep)
-        node.plan = plan
-        out.append(node)
+            raise GraphSealError(
+                f"cannot seal kernel {node.label!r} on backend "
+                f"{self.space.name!r}: {type(exc).__name__}: {exc}"
+            ) from exc
 
     def replay(self) -> None:
         """Re-execute the captured step through the cached plans."""

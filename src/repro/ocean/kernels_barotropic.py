@@ -162,23 +162,6 @@ class AsselinFilterFunctor(TileFunctor):
     flops_per_point = 4.0
     bytes_per_point = 4 * 8.0
 
-    #: Explicit-loop lowering for the njit tier (repro.kokkos.jit).
-    #: The expression matches ``apply`` term for term, so the compiled
-    #: kernel is bitwise identical to the vectorised sweep.
-    jit_spec = {
-        "arrays": ("old", "cur", "new"),
-        "scalars": ("alpha",),
-        "source": (
-            "def kernel(old, cur, new, alpha, b0, e0, b1, e1, b2, e2):\n"
-            "    for k in range(b0, e0):\n"
-            "        for j in range(b1, e1):\n"
-            "            for i in range(b2, e2):\n"
-            "                c = cur[k, j, i]\n"
-            "                cur[k, j, i] = c + alpha * (\n"
-            "                    new[k, j, i] - 2.0 * c + old[k, j, i])\n"
-        ),
-    }
-
     def __init__(self, old: View, cur: View, new: View, alpha: float = 0.1) -> None:
         self.old = old
         self.cur = cur
@@ -191,34 +174,3 @@ class AsselinFilterFunctor(TileFunctor):
         c = self.cur.data[idx]
         n = self.new.data[idx]
         self.cur.data[idx] = c + self.alpha * (n - 2.0 * c + o)
-
-
-@kokkos_register_for("accumulate_mean", ndim=2)
-class Accumulate2DFunctor(TileFunctor):
-    """acc += weight * field (barotropic subcycle time averaging)."""
-
-    flops_per_point = 2.0
-    bytes_per_point = 3 * 8.0
-
-    jit_spec = {
-        "arrays": ("acc", "field"),
-        "scalars": ("weight",),
-        "source": (
-            "def kernel(acc, field, weight, b0, e0, b1, e1):\n"
-            "    for j in range(b0, e0):\n"
-            "        for i in range(b1, e1):\n"
-            "            acc[j, i] += weight * field[j, i]\n"
-        ),
-    }
-
-    def __init__(self, acc: View, field: View, weight: float) -> None:
-        self.acc = acc
-        self.field = field
-        self.weight = weight
-
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
-
-    def apply(self, slices) -> None:
-        sj, si = slices
-        self.acc.data[sj, si] += self.weight * self.field.data[sj, si]

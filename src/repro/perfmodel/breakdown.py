@@ -57,14 +57,12 @@ def step_breakdown(
     units: int,
     profile: StepProfile = DEFAULT_PROFILE,
     graph: bool = False,
-    jit: bool = False,
 ) -> StepBreakdown:
     """Decompose the optimized step time (mirrors ``predict_step_time``).
 
-    ``graph`` charges the post-fusion launch count of step-graph replay
-    (``profile.launches_graph``); ``jit`` additionally discounts the
-    compiled launches (``profile.launch_overheads``); all other
-    components are unchanged.
+    ``graph`` charges compiled step-graph replay: the post-fusion launch
+    count with the compiled-launch discount
+    (``profile.launch_overheads``); all other components are unchanged.
     """
     m = get_machine(machine) if isinstance(machine, str) else machine
     n3 = cfg.grid_points / units
@@ -75,7 +73,7 @@ def step_breakdown(
     peak = m.peak_flops_unit
     t3 = max(profile.bytes3 * n3 / bw, profile.flops3 * n3 / peak)
     t2 = nsub * max(profile.bytes2_sub * n2 / bw, profile.flops2_sub * n2 / peak)
-    t_launch = profile.launch_overheads(nsub, graph, jit) * m.launch_overhead
+    t_launch = profile.launch_overheads(nsub, graph) * m.launch_overhead
 
     if units == 1:
         return StepBreakdown(t3, t2, t_launch, 0.0, 0.0, 0.0, 0.0,

@@ -21,7 +21,7 @@ from typing import Optional
 from .machines import MachineSpec
 
 #: Fraction of the per-launch fixed cost still paid when the launch is
-#: served by the compiled tier (repro.kokkos.jit).  Compilation removes
+#: replayed on the compiled tier (repro.kokkos.jit).  Compilation removes
 #: the host-side interpretation of the sweep (slice walks, per-tile
 #: dispatch) but not the launch itself — spawn/join on the CPEs or the
 #: device kernel launch — so a compiled launch is modelled as a
@@ -69,19 +69,18 @@ class StepProfile:
         """Launches per replayed step when the graph fusion pass is on."""
         return max(0.0, self.launches(nsub) - self.launches_fused_saved)
 
-    def launch_overheads(self, nsub: int, graph: bool = False,
-                         jit: bool = False) -> float:
-        """Equivalent full-cost launches per step for the given knobs.
+    def launch_overheads(self, nsub: int, graph: bool = False) -> float:
+        """Equivalent full-cost launches per step, eager or replayed.
 
-        With ``jit`` (compiled tier on, only meaningful under
-        ``graph``), ``launches_compiled`` of the replayed launches are
-        discounted to :data:`JIT_DISPATCH_FRACTION` of a launch each —
-        the ``launches_compiled`` term that keeps predicted timelines
+        Graph replay is always compiled, so with ``graph`` the
+        post-fusion launch count is charged and ``launches_compiled`` of
+        those launches are discounted to :data:`JIT_DISPATCH_FRACTION`
+        of a launch each — the term that keeps predicted timelines
         honest about what replay actually dispatches.
         """
-        launches = self.launches_graph(nsub) if graph else self.launches(nsub)
-        if not (graph and jit):
-            return launches
+        if not graph:
+            return self.launches(nsub)
+        launches = self.launches_graph(nsub)
         compiled = min(self.launches_compiled, launches)
         return launches - (1.0 - JIT_DISPATCH_FRACTION) * compiled
 
@@ -169,8 +168,8 @@ def measure_jit_coverage(size: str = "tiny", steps: int = 3) -> float:
     """Replayed launches per step on the compiled tier, measured live.
 
     The live counterpart of ``DEFAULT_PROFILE.launches_compiled``:
-    steps the real model with graph capture and the compiled tier on
-    and reads the sealed steady-state graph's per-kernel tiers.
+    steps the real model with graph capture on and reads the sealed
+    steady-state graph's per-kernel tiers.
     """
     from ..kokkos import Instrumentation, SerialBackend
     from ..ocean import LICOMKpp, demo
@@ -178,7 +177,7 @@ def measure_jit_coverage(size: str = "tiny", steps: int = 3) -> float:
 
     cfg = demo(size)
     model = LICOMKpp(cfg, backend=SerialBackend(inst=Instrumentation()),
-                     params=ModelParams(graph=True, jit=True))
+                     params=ModelParams(graph=True))
     model.run_steps(max(2, steps))
     steady = [g for (startup, _), g in model._graphs.items() if not startup]
     graph = steady[0] if steady else next(iter(model._graphs.values()))
@@ -219,7 +218,6 @@ def compute_time_per_step(
     nsub: int,
     fortran: bool = False,
     graph: bool = False,
-    jit: bool = False,
 ) -> float:
     """Roofline time of one rank's computation for one baroclinic step.
 
@@ -228,11 +226,11 @@ def compute_time_per_step(
     ``max(bytes/BW, flops/peak)`` plus kernel-launch overhead.  The
     ``fortran`` flag models the original LICOM3 baseline: host-only
     execution at the machine's host bandwidth and Fortran efficiency.
-    ``graph`` models step-graph replay with fusion: the flop/byte work
-    is unchanged, only ``launches_fused_saved`` fewer launch overheads
-    are paid per step.  ``jit`` additionally discounts the
-    ``launches_compiled`` replayed launches to
-    :data:`JIT_DISPATCH_FRACTION` of a launch overhead each.
+    ``graph`` models compiled step-graph replay with fusion: the
+    flop/byte work is unchanged, ``launches_fused_saved`` fewer launch
+    overheads are paid per step, and the ``launches_compiled`` replayed
+    launches pay :data:`JIT_DISPATCH_FRACTION` of a launch overhead
+    each.
     """
     if fortran:
         bw = machine.host_bw * machine.host_efficiency
@@ -252,6 +250,6 @@ def compute_time_per_step(
         profile.bytes2_sub * points2_per_unit / bw,
         profile.flops2_sub * points2_per_unit / peak,
     )
-    t_launch = profile.launch_overheads(nsub, graph, jit) \
+    t_launch = profile.launch_overheads(nsub, graph) \
         * machine.launch_overhead
     return t3 + t2 + t_launch

@@ -10,7 +10,7 @@ the job streamed probes / traces / checkpoints into.
 
 Sharing is keyed on :meth:`JobSpec.share_signature`: two specs with the
 same signature produce bitwise-identical engines (same config, backend,
-precision, graph/jit tier, tracer count and seed), so the scheduler can
+precision, graph replay, tracer count and seed), so the scheduler can
 lease one :class:`~repro.serve.share.SharedEngine` to both.
 """
 
@@ -49,7 +49,6 @@ class JobSpec:
     mode: str = "thread"
     precision: str = "double"
     graph: bool = True
-    jit: Optional[bool] = None
     n_passive: int = 0
     seed: int = 2024
     #: Probe-row cadence in steps (0 disables streaming diagnostics).
@@ -96,7 +95,6 @@ class JobSpec:
         return ModelParams(
             precision=self.precision,
             graph=self.graph,
-            jit=self.jit,
             n_passive=self.n_passive,
             trace=self.trace,
         )
@@ -120,7 +118,7 @@ class JobSpec:
         deliberately excluded.
         """
         return (self.size, self.backend, self.precision, self.graph,
-                self.jit, self.n_passive, self.seed, self.trace)
+                self.n_passive, self.seed, self.trace)
 
 
 class JobStatus(Enum):

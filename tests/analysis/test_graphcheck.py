@@ -7,10 +7,11 @@ Three layers of coverage:
   read, redundant exchange, dead store, missing fence), asserting the
   verifier reports exactly the intended finding.
 * **Seed model** — the tiny demo model's sealed step graphs walk clean
-  on every backend in both jit modes, and every fusion group the seal
-  pass accepted is independently certified (differential test).
+  on every backend, and every fusion group the seal pass accepted is
+  independently certified (differential test).
 * **Certification hook** — ``seal(certify=True)`` rejects a
-  deliberately corrupted fusion group and accepts a legal one.
+  deliberately corrupted fusion group on an eager-tier plan and accepts
+  a legal one.
 """
 
 import pytest
@@ -37,6 +38,7 @@ from repro.kokkos import (
     HostEffects,
     LaunchGraph,
     MDRangePolicy,
+    SerialBackend,
     View,
     make_backend,
 )
@@ -67,7 +69,7 @@ def sealed(space, *records):
     """Build + seal a graph from ('k', label, policy, functor) and
     ('h', label, effects) records (fusion off: the schedule is the
     point, not the optimizer)."""
-    graph = LaunchGraph(space, fuse=False, jit=False)
+    graph = LaunchGraph(space, fuse=False)
     for kind, *args in records:
         if kind == "k":
             graph.add_kernel(*args)
@@ -176,7 +178,7 @@ class TestFusionLegality:
         return KernelNode("fused[w+r]", P_INT, fused)
 
     def test_dependent_stencil_parts_refused(self, space, views):
-        graph = LaunchGraph(space, fuse=False, jit=False)
+        graph = LaunchGraph(space, fuse=False)
         graph.nodes.append(self._corrupt_node(views))
         graph.sealed = True
         findings = check_fusion_legality(graph)
@@ -185,15 +187,21 @@ class TestFusionLegality:
         assert findings[0].view == "f"
         assert certify_fusion(graph) == findings
 
-    def test_seal_certify_rejects_corrupted_group(self, space, views):
-        graph = LaunchGraph(space, fuse=False, jit=False)
+    def test_seal_certify_rejects_corrupted_group(self, views):
+        # a run_for-intercepting backend gets eager-tier plans, which
+        # the graph does not lower: the tiling obligation applies
+        class Intercepting(SerialBackend):
+            def run_for(self, label, policy, functor):
+                super().run_for(label, policy, functor)
+
+        graph = LaunchGraph(Intercepting(), fuse=False)
         graph.nodes.append(self._corrupt_node(views))
         with pytest.raises(GraphCertificationError, match="graph-race"):
             graph.seal(certify=True)
 
     def test_seal_certify_accepts_legal_fusion(self, space, views):
         f, g, out = views["f"], views["g"], views["out"]
-        graph = LaunchGraph(space, fuse=True, jit=False)
+        graph = LaunchGraph(space, fuse=True)
         # dependent but point-local: tiling-legal, fuses into one node
         graph.add_kernel("a", P_INT, PointCopyFunctor(g, f))
         graph.add_kernel("b", P_INT, PointCopyFunctor(f, out))
@@ -209,7 +217,7 @@ class TestFusionLegality:
         fused = FusedTileFunctor(
             [PointCopyFunctor(g, f), PointCopyFunctor(f, out)], ["a", "b"])
         node = KernelNode("fused[a+b]", P_INT, fused)
-        graph = LaunchGraph(space, fuse=False, jit=False)
+        graph = LaunchGraph(space, fuse=False)
         graph.nodes.append(node)
         graph.sealed = True
         assert check_fusion_legality(graph) == []
@@ -219,14 +227,12 @@ BACKENDS = ("serial", "openmp", "athread", "cuda")
 
 
 class TestSeedModelClean:
-    @pytest.mark.parametrize("jit", [False, True], ids=["eager", "jit"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sealed_step_graphs_walk_clean(self, backend, jit):
+    def test_sealed_step_graphs_walk_clean(self, backend):
         from repro.ocean import LICOMKpp, ModelParams, demo
 
         model = LICOMKpp(demo("tiny"), backend=backend,
-                         params=ModelParams(graph=True, jit=jit,
-                                            check_every=0))
+                         params=ModelParams(graph=True, check_every=0))
         try:
             model.run_steps(2)
             graphs = [g for g in model._graphs.values() if g.sealed]

@@ -197,36 +197,26 @@ class TestWorkspaceLifetime:
         assert ws.pooled_nbytes() == 8 * 8    # other thread's pool survives
 
 
-class TestJitWarnCacheLifecycle:
-    """``close()`` resets the once-per-key jit degradation warnings."""
-
-    def test_close_clears_owned_space_warn_cache(self, caplog):
-        import logging
-
-        ctx = ExecutionContext("serial")
-        cache = ctx.jit_cache
-        with caplog.at_level(logging.WARNING, logger="repro.kokkos.jit"):
-            cache.warn_once(("k",), "kern", "probe")
-            cache.warn_once(("k",), "kern", "probe")   # suppressed
-        assert len(caplog.records) == 1
-        assert cache.failures == 2
-        ctx.close()
-        assert not cache._warned                       # fresh context re-warns
-        with caplog.at_level(logging.WARNING, logger="repro.kokkos.jit"):
-            cache.warn_once(("k",), "kern", "probe")
-        assert len(caplog.records) == 2
+class TestShimContextJitCache:
+    """``close()`` of the default-context shim clears the compiled
+    sweeps it left on the process default space."""
 
     def test_close_of_shim_context_clears_default_space_cache(self):
-        from repro.kokkos import finalize, initialize
+        from repro.kokkos import LaunchGraph, MDRangePolicy, View, finalize, initialize
+        from repro.ocean.kernels_barotropic import AsselinFilterFunctor
 
         initialize("serial")
         try:
             shim = ExecutionContext(backend=None)
             cache = shim.jit_cache                     # lives on default space
-            cache.warn_once(("k",), "kern", "probe")
-            assert cache._warned
+            views = [View(n, (2, 3, 3)) for n in ("old", "cur", "new")]
+            g = LaunchGraph(shim.space)
+            g.add_kernel("asselin", MDRangePolicy([(0, 2), (0, 3), (0, 3)]),
+                         AsselinFilterFunctor(*views))
+            g.seal()
+            assert len(cache) == 1
             shim.close()
-            assert not cache._warned
+            assert len(cache) == 0
         finally:
             finalize()
 

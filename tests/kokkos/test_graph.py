@@ -129,23 +129,10 @@ class TestLaunchGraph:
         assert g.fused_groups == 0
         assert g.launches_per_replay == 3
 
-    def test_dependent_stencil_chain_not_fused_without_jit(self):
-        # scale writes x, the stencil reads x: a dependent chain, which
-        # the interpreted (tiled) tiers must not fuse
-        be = SerialBackend(inst=Instrumentation())
-        x = View("x", data=np.ones((4, 6)))
-        out = View("out", data=np.zeros((4, 6)))
-        pol = MDRangePolicy([(0, 4), (0, 4)])
-        g = LaunchGraph(be, fuse=True, jit=False)
-        g.add_kernel("scale", pol, ScaleFunctor(x, 2.0))
-        g.add_kernel("stencil", pol, StencilFunctor(x, out))
-        g.seal()
-        assert g.fused_groups == 0
-        assert g.launches_per_replay == 2
-
     def test_dependent_stencil_chain_fuses_with_jit(self):
-        # the compiled sweep runs whole-range with a stage barrier per
-        # part, so the same chain fuses — and stays bitwise identical
+        # scale writes x, the stencil reads x: a dependent chain.  The
+        # compiled sweep runs whole-range with a stage barrier per part,
+        # so the chain fuses — and stays bitwise identical
         start = np.random.default_rng(11).normal(size=(4, 6))
         ref_x = start.copy()
         ref_x[:, 0:4] *= 2.0  # the policy covers columns 0..3 only
@@ -155,7 +142,7 @@ class TestLaunchGraph:
         x = View("x", data=start.copy())
         out = View("out", data=np.zeros((4, 6)))
         pol = MDRangePolicy([(0, 4), (0, 4)])
-        g = LaunchGraph(be, fuse=True, jit=True)
+        g = LaunchGraph(be, fuse=True)
         g.add_kernel("scale", pol, ScaleFunctor(x, 2.0))
         g.add_kernel("stencil", pol, StencilFunctor(x, out))
         g.seal()
@@ -163,6 +150,41 @@ class TestLaunchGraph:
         assert g.launches_per_replay == 1
         assert g.compiled_launches == 1
         g.replay()
+        np.testing.assert_array_equal(x.data, ref_x)
+        np.testing.assert_array_equal(out.data, ref_out)
+
+    def test_generic_plan_replays_fused_chain_as_captured_launches(self):
+        # a backend intercepting run_for gets the generic (eager-tier)
+        # plan; on athread a single run_for of the fused chain would
+        # sweep it tile by tile and let the stencil read unscaled
+        # columns.  The generic plan must replay the parts as their own
+        # whole-range launches, in capture order, under their labels.
+        class Intercepting(AthreadBackend):
+            def __init__(self):
+                super().__init__(inst=Instrumentation())
+                self.seen = []
+
+            def run_for(self, label, policy, functor):
+                self.seen.append(label)
+                super().run_for(label, policy, functor)
+
+        start = np.random.default_rng(12).normal(size=(16, 18))
+        ref_x = start.copy()
+        ref_x[:, 0:16] *= 2.0
+        ref_out = np.zeros((16, 18))
+        ref_out[:, 0:16] = ref_x[:, 1:17]
+        be = Intercepting()
+        x = View("x", data=start.copy())
+        out = View("out", data=np.zeros((16, 18)))
+        pol = MDRangePolicy([(0, 16), (0, 16)])
+        g = LaunchGraph(be)
+        g.add_kernel("scale", pol, ScaleFunctor(x, 2.0))
+        g.add_kernel("stencil", pol, StencilFunctor(x, out))
+        g.seal()
+        assert g.fused_groups == 1
+        assert g.kernel_tiers() == [("fused[scale+stencil]", "eager")]
+        g.replay()
+        assert be.seen == ["scale", "stencil"]
         np.testing.assert_array_equal(x.data, ref_x)
         np.testing.assert_array_equal(out.data, ref_out)
 

@@ -1,19 +1,18 @@
 """The compiled execution tier (``repro.kokkos.jit``).
 
-Covers the ``REPRO_JIT`` knob resolution, codegen-tier bitwise identity
-against the eager plans, the per-context cache lifecycle (factories
-cached, re-seal hits, ``close()`` clears), structural degradation (one
-warning, plan stays eager), the ``jit_spec``/njit lowering path (pure
-Python when numba is absent, compiled when present) and the empty-range
+Covers codegen-tier bitwise identity against eager ``parallel_for``
+(including the athread DMA/LDM ledger), the per-context cache lifecycle
+(factories cached, re-seal hits, ``close()`` clears), loud seal-time
+failures (a lowering error or an athread LDM overflow raises
+``GraphSealError`` naming the kernel) and the empty-range
 short-circuits in the reference sweeps.  Model-level identity is in
 ``tests/ocean/test_graph_replay.py``.
 """
 
-import logging
-
 import numpy as np
 import pytest
 
+from repro.errors import GraphSealError, LDMError
 from repro.kokkos import (
     AthreadBackend,
     ExecutionContext,
@@ -23,17 +22,9 @@ from repro.kokkos import (
     View,
     kokkos_register_for,
 )
-from repro.kokkos import jit as jit_mod
 from repro.kokkos.functor import _loop_elementwise, _recurse_for
 from repro.kokkos.graph import LaunchGraph
-from repro.kokkos.jit import (
-    JitCache,
-    _LoweredNjit,
-    compile_sweep,
-    numba_available,
-    resolve_jit,
-    sweep_key,
-)
+from repro.kokkos.jit import sweep_key
 
 
 @kokkos_register_for("jittest_scale", ndim=2)
@@ -53,44 +44,29 @@ class ScaleFunctor:
         self.x.data[tuple(slices)] *= self.a
 
 
-@kokkos_register_for("jittest_axpy", ndim=2)
-class AxpyFunctor:
-    """y += a*x with an njit spec matching ``apply`` term for term."""
+@kokkos_register_for("jittest_east", ndim=2)
+class EastCopyFunctor:
+    """out = x shifted east (stencil_halo=1)."""
 
-    flops_per_point = 2.0
-    bytes_per_point = 24.0
-    stencil_halo = 0
+    flops_per_point = 0.0
+    bytes_per_point = 16.0
+    stencil_halo = 1
 
-    jit_spec = {
-        "arrays": ("y", "x"),
-        "scalars": ("a",),
-        "source": (
-            "def kernel(y, x, a, j0, j1, i0, i1):\n"
-            "    for j in range(j0, j1):\n"
-            "        for i in range(i0, i1):\n"
-            "            y[j, i] += a * x[j, i]\n"
-        ),
-    }
-
-    def __init__(self, y: View, x: View, a: float) -> None:
-        self.y = y
+    def __init__(self, x: View, out: View) -> None:
         self.x = x
-        self.a = a
-
-    def __call__(self, j: int, i: int) -> None:
-        self.y.data[j, i] += self.a * self.x.data[j, i]
+        self.out = out
 
     def apply(self, slices) -> None:
-        idx = tuple(slices)
-        self.y.data[idx] += self.a * self.x.data[idx]
+        sj, si = slices
+        self.out.data[sj, si] = self.x.data[sj, si.start + 1:si.stop + 1]
 
 
 class BrokenLowering:
-    """Any exception on the lowering path must degrade, not crash.
+    """Any exception on the lowering path must fail the seal, loudly.
 
-    The eager plan never reads ``parts`` (only the jit keying does), so
-    this functor runs fine interpreted while poisoning the compiled
-    tier.
+    Eager ``parallel_for`` never reads ``parts`` (only the jit keying
+    does), so this functor runs fine eagerly while poisoning the
+    compiled tier.
     """
 
     flops_per_point = 1.0
@@ -111,38 +87,6 @@ class BrokenLowering:
         raise RuntimeError("poisoned lowering path")
 
 
-class TestResolveJit:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        assert resolve_jit() is True
-
-    @pytest.mark.parametrize("val", ["0", "off", "FALSE", "no"])
-    def test_env_disables(self, monkeypatch, val):
-        monkeypatch.setenv("REPRO_JIT", val)
-        assert resolve_jit() is False
-
-    @pytest.mark.parametrize("val", ["1", "on", "True", "yes"])
-    def test_env_enables(self, monkeypatch, val):
-        monkeypatch.setenv("REPRO_JIT", val)
-        assert resolve_jit() is True
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "0")
-        assert resolve_jit(True) is True
-        monkeypatch.setenv("REPRO_JIT", "1")
-        assert resolve_jit(False) is False
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "maybe")
-        with pytest.raises(ValueError, match="REPRO_JIT"):
-            resolve_jit()
-
-    def test_graph_honours_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "0")
-        g = LaunchGraph(SerialBackend(inst=Instrumentation()))
-        assert g.jit is False
-
-
 class TestCodegenTier:
     def test_serial_sweep_bitwise_identical(self):
         start = np.random.default_rng(5).normal(size=(6, 7))
@@ -151,7 +95,7 @@ class TestCodegenTier:
         be = SerialBackend(inst=Instrumentation())
         x = View("x", data=start.copy())
         pol = MDRangePolicy([(1, 5), (0, 6)])
-        g = LaunchGraph(be, jit=True)
+        g = LaunchGraph(be)
         g.add_kernel("scale", pol, ScaleFunctor(x, 3.0))
         g.seal()
         assert g.kernel_tiers() == [("scale", "codegen")]
@@ -159,19 +103,24 @@ class TestCodegenTier:
         np.testing.assert_array_equal(x.data, ref)
 
     def test_athread_compiled_ledger_matches_eager(self):
-        # the compiled sweep replaces only the tile loop: DMA descriptor
-        # counts, volumes and the LDM high water must not move
+        # reference: eager parallel_for.  The compiled sweep replaces
+        # the tile loop only: data, DMA descriptor counts and volumes,
+        # the LDM high water and the tile distribution must not move
         start = np.random.default_rng(9).normal(size=(32, 48))
+        pol = MDRangePolicy([(0, 32), (0, 48)])
         results = {}
-        for jit in (False, True):
+        for graph in (False, True):
             be = AthreadBackend(inst=Instrumentation())
             x = View("x", data=start.copy())
-            pol = MDRangePolicy([(0, 32), (0, 48)])
-            g = LaunchGraph(be, fuse=False, jit=jit)
-            g.add_kernel("scale", pol, ScaleFunctor(x, 1.5))
-            g.seal()
-            g.replay()
-            results[jit] = (
+            if graph:
+                g = LaunchGraph(be, fuse=False)
+                g.add_kernel("scale", pol, ScaleFunctor(x, 1.5))
+                g.seal()
+                assert g.kernel_tiers() == [("scale", "codegen")]
+                g.replay()
+            else:
+                be.parallel_for("scale", pol, ScaleFunctor(x, 1.5))
+            results[graph] = (
                 x.data.copy(), be.dma.get_count, be.dma.put_count,
                 be.dma.get_bytes, be.dma.put_bytes, be.ldm_high_water(),
                 be.last_distribution,
@@ -187,7 +136,7 @@ class TestCodegenTier:
         a = np.ones((4, 4))
         b = np.full((4, 4), 2.0)
         x = View("x", data=a)
-        g = LaunchGraph(be, jit=True)
+        g = LaunchGraph(be)
         g.add_kernel("scale", MDRangePolicy([(0, 4), (0, 4)]),
                      ScaleFunctor(x, 10.0))
         g.seal()
@@ -201,7 +150,7 @@ class TestCodegenTier:
 class TestJitCacheLifecycle:
     def _seal_one(self, ctx, data):
         x = View("x", data=data)
-        g = LaunchGraph(ctx.space, jit=True)
+        g = LaunchGraph(ctx.space)
         g.add_kernel("scale", MDRangePolicy([(0, 4), (0, 4)]),
                      ScaleFunctor(x, 2.0))
         g.seal()
@@ -249,89 +198,35 @@ class TestJitCacheLifecycle:
 
 
 class TestDegradation:
-    def test_failure_stays_eager_with_one_warning(self, caplog):
+    """Seal-time failures raise, naming the kernel; nothing degrades."""
+
+    def test_lowering_failure_raises_at_seal(self):
         be = SerialBackend(inst=Instrumentation())
         x = View("x", data=np.zeros((4, 4)))
-        pol = MDRangePolicy([(0, 4), (0, 4)])
-        with caplog.at_level(logging.WARNING, logger="repro.kokkos.jit"):
-            g = LaunchGraph(be, jit=True)
-            g.add_kernel("broken", pol, BrokenLowering(x))
+        g = LaunchGraph(be)
+        g.add_kernel("broken", MDRangePolicy([(0, 4), (0, 4)]),
+                     BrokenLowering(x))
+        with pytest.raises(GraphSealError, match="'broken'") as info:
             g.seal()
-            # second graph, same functor type: warning already issued
-            g2 = LaunchGraph(be, jit=True)
-            g2.add_kernel("broken", pol, BrokenLowering(x))
-            g2.seal()
-        assert g.kernel_tiers() == [("broken", "eager")]
-        assert g.compiled_launches == 0
-        warnings = [r for r in caplog.records
-                    if r.name == "repro.kokkos.jit"]
-        assert len(warnings) == 1
-        assert "tier=eager" in warnings[0].getMessage()
-        # the degraded plan still runs (eager tier)
-        g.replay()
-        np.testing.assert_array_equal(x.data, np.ones((4, 4)))
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert not g.sealed
 
-
-class TestNjitTier:
-    def _run(self, force_python: bool):
-        rng = np.random.default_rng(13)
-        ystart = rng.normal(size=(5, 6))
-        xdat = rng.normal(size=(5, 6))
-        y = View("y", data=ystart.copy())
-        x = View("x", data=xdat)
-        f = AxpyFunctor(y, x, 1.7)
-        pol = MDRangePolicy([(1, 4), (0, 5)])
-        lowered = _LoweredNjit(AxpyFunctor, AxpyFunctor.jit_spec, "axpy",
-                               force_python=force_python)
-        sweep = lowered.bind(SerialBackend(inst=Instrumentation()), pol, f)
-        sweep()
-        ref = ystart.copy()
-        ref[1:4, 0:5] += 1.7 * xdat[1:4, 0:5]
-        np.testing.assert_array_equal(y.data, ref)
-
-    def test_spec_identity_pure_python(self):
-        self._run(force_python=True)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_spec_identity_njit(self):
-        self._run(force_python=False)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_graph_selects_njit_tier(self):
-        be = SerialBackend(inst=Instrumentation())
-        y = View("y", data=np.zeros((4, 4)))
-        x = View("x", data=np.ones((4, 4)))
-        g = LaunchGraph(be, jit=True)
-        g.add_kernel("axpy", MDRangePolicy([(0, 4), (0, 4)]),
-                     AxpyFunctor(y, x, 2.0))
-        g.seal()
-        assert g.kernel_tiers() == [("axpy", "njit")]
-        g.replay()
-        np.testing.assert_array_equal(y.data, np.full((4, 4), 2.0))
-
-    def test_spec_without_numba_degrades_to_codegen(self, monkeypatch):
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
-        be = SerialBackend(inst=Instrumentation())
-        y = View("y", data=np.zeros((4, 4)))
-        x = View("x", data=np.ones((4, 4)))
-        cache = JitCache()
-        sweep = compile_sweep(
-            be, "axpy", MDRangePolicy([(0, 4), (0, 4)]),
-            AxpyFunctor(y, x, 2.0), cache)
-        assert sweep is not None and sweep.tier == "codegen"
-        sweep.fn()
-        np.testing.assert_array_equal(y.data, np.full((4, 4), 2.0))
-
-    def test_bind_rejects_non_view_arrays(self):
-        lowered = _LoweredNjit(AxpyFunctor, AxpyFunctor.jit_spec, "axpy",
-                               force_python=True)
-        f = AxpyFunctor.__new__(AxpyFunctor)
-        f.y = np.zeros((4, 4))  # raw ndarray, not a View
-        f.x = View("x", data=np.ones((4, 4)))
-        f.a = 1.0
-        with pytest.raises(TypeError, match=r"AxpyFunctor\.y"):
-            lowered.bind(SerialBackend(inst=Instrumentation()),
-                         MDRangePolicy([(0, 4), (0, 4)]), f)
+    def test_athread_ldm_overflow_of_fused_chain_raises_at_seal(self):
+        # each part fits a 400 B LDM on its own, the fused union working
+        # set does not: the seal must fail, not silently un-fuse
+        be = AthreadBackend(ldm_bytes=400, inst=Instrumentation())
+        x = View("x", data=np.ones((4, 6)))
+        out = View("out", data=np.zeros((4, 6)))
+        pol = MDRangePolicy([(0, 4), (0, 4)])
+        be.parallel_for("scale", pol, ScaleFunctor(x, 2.0))
+        be.parallel_for("east", pol, EastCopyFunctor(x, out))
+        g = LaunchGraph(be)
+        g.add_kernel("scale", pol, ScaleFunctor(x, 2.0))
+        g.add_kernel("east", pol, EastCopyFunctor(x, out))
+        with pytest.raises(GraphSealError,
+                           match=r"fused\[scale\+east\]") as info:
+            g.seal()
+        assert isinstance(info.value.__cause__, LDMError)
 
 
 class TestEmptyRangeShortCircuit:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import StabilityError
+from repro.errors import ConfigurationError, StabilityError
 from repro.ocean import (
     LICOMKpp,
     ModelParams,
@@ -96,6 +96,12 @@ class TestModelStep:
         assert "canuto_mixing" in inst.kernels
         assert inst.total_bytes > 0
 
+    def test_jit_false_rejected(self):
+        # graph replay is always compiled; jit selects nothing
+        with pytest.raises(ConfigurationError, match="jit=False"):
+            ModelParams(jit=False)
+        assert ModelParams(jit=True).jit is True
+
     def test_momentum_advection_toggle(self):
         m = LICOMKpp(demo("tiny"), params=ModelParams(advect_momentum=False))
         m.run_steps(4)
@@ -147,24 +153,31 @@ class TestPortability:
 
 
 class TestDistributed:
-    @pytest.mark.parametrize("npy,npx", [(2, 2), (1, 2)])
-    def test_multirank_bitwise_equals_single(self, npy, npx):
+    @pytest.mark.parametrize("npy,npx,n_passive",
+                             [(2, 2, 0), (1, 2, 0), (2, 2, 2)],
+                             ids=["2-2", "1-2", "2-2-passive2"])
+    def test_multirank_bitwise_equals_single(self, npy, npx, n_passive):
+        # passive tracers ride in the same fused tracer halo messages
         cfg = demo("tiny")
-        ref = LICOMKpp(cfg)
+        params = ModelParams(n_passive=n_passive)
+        ref = LICOMKpp(cfg, params=params)
         ref.run_steps(4)
         d = BlockDecomposition(cfg.ny, cfg.nx, npy, npx)
 
+        def fields(state):
+            return [("t", state.t), ("u", state.u), ("ssh", state.ssh)] + \
+                [(f"passive{i}", p) for i, p in enumerate(state.passive)]
+
         def prog(comm):
-            m = LICOMKpp(cfg, comm=comm, decomp=d)
+            m = LICOMKpp(cfg, comm=comm, decomp=d, params=params)
             m.run_steps(4)
-            return (m.state.t.cur.raw, m.state.u.cur.raw, m.state.ssh.cur.raw)
+            return [f.cur.raw for _, f in fields(m.state)]
 
         res = SimWorld.run(prog, d.size)
         h = 2
-        for idx, name in ((0, "t"), (1, "u"), (2, "ssh")):
+        for idx, (name, fld) in enumerate(fields(ref.state)):
             g = d.gather_global([r[idx] for r in res])
-            r = getattr(ref.state, name).cur.raw[..., h:-h, h:-h]
-            assert np.array_equal(g, r), name
+            assert np.array_equal(g, fld.cur.raw[..., h:-h, h:-h]), name
 
 
 class TestDiagnostics:

@@ -236,19 +236,19 @@ class TestHaloUpdaterFusion:
 
 
 class TestModelTraffic:
-    """The fused model cuts wire messages >= 3x and stays bitwise exact."""
+    """The model's fused halo traffic does not grow with the tracer count."""
 
     @staticmethod
     def _cfg():
         # nsub=2 so 2-D barotropic traffic does not dwarf the fused 3-D
-        # updates; extra passive tracers make the fusion width realistic.
+        # updates.
         return dataclasses.replace(demo("tiny"), dt_barotropic=3600.0)
 
     @classmethod
-    def _messages(cls, fused: bool) -> int:
+    def _messages(cls, n_passive: int) -> int:
         cfg = cls._cfg()
         d = BlockDecomposition(cfg.ny, cfg.nx, 2, 2)
-        params = ModelParams(n_passive=4, halo_fused=fused)
+        params = ModelParams(n_passive=n_passive)
 
         def prog(comm):
             m = LICOMKpp(cfg, comm=comm, decomp=d, params=params)
@@ -258,10 +258,10 @@ class TestModelTraffic:
 
         return SimWorld.run(prog, 4)[0]
 
-    def test_message_reduction_at_least_3x(self):
-        per_field = self._messages(fused=False)
-        fused = self._messages(fused=True)
-        assert per_field / fused >= 3.0, (per_field, fused)
+    def test_messages_per_step_independent_of_passive_tracers(self):
+        # every tracer stage exchanges all tracers in one fused message
+        # per neighbour, so four extra tracers add bytes, not messages
+        assert self._messages(n_passive=0) == self._messages(n_passive=4)
 
     def test_fused_phases_ledgered(self):
         cfg = self._cfg()
@@ -279,22 +279,3 @@ class TestModelTraffic:
         by_phase, hist = SimWorld.run(prog, 4)[0]
         assert by_phase["halo3"][0] > 0 and by_phase["halo2"][0] > 0
         assert sum(hist.values()) == sum(p[0] for p in by_phase.values())
-
-    def test_fused_model_bitwise_equals_per_field_model(self):
-        cfg = self._cfg()
-        d = BlockDecomposition(cfg.ny, cfg.nx, 2, 2)
-
-        def run(fused):
-            def prog(comm):
-                m = LICOMKpp(cfg, comm=comm, decomp=d,
-                             params=ModelParams(n_passive=2, halo_fused=fused))
-                m.run_steps(3)
-                s = m.state
-                return (s.t.cur.raw, s.s.cur.raw, s.u.cur.raw, s.v.cur.raw,
-                        s.ssh.cur.raw, s.passive[0].cur.raw)
-
-            return SimWorld.run(prog, 4)
-
-        for a, b in zip(run(True), run(False)):
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y)

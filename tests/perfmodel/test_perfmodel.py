@@ -170,20 +170,21 @@ class TestNetworkModel:
 
 
 class TestJitLaunchDiscount:
+    """Graph replay is always compiled: ``graph=True`` carries the
+    compiled-launch discount."""
+
     def test_launch_overheads_discounts_compiled(self):
         from repro.perfmodel.kernelcost import JIT_DISPATCH_FRACTION
 
         p = DEFAULT_PROFILE
         base = p.launch_overheads(10)
         assert base == pytest.approx(p.launches(10))
+        replayed = p.launches_graph(10)
         graph = p.launch_overheads(10, graph=True)
-        assert graph == pytest.approx(p.launches_graph(10))
-        jit = p.launch_overheads(10, graph=True, jit=True)
-        saved = (1.0 - JIT_DISPATCH_FRACTION) * min(p.launches_compiled, graph)
-        assert jit == pytest.approx(graph - saved)
-        assert jit < graph < base
-        # jit without graph is meaningless: no discount
-        assert p.launch_overheads(10, jit=True) == pytest.approx(base)
+        saved = (1.0 - JIT_DISPATCH_FRACTION) * min(p.launches_compiled,
+                                                      replayed)
+        assert graph == pytest.approx(replayed - saved)
+        assert graph < replayed < base
 
     def test_compiled_never_exceeds_replayed(self):
         from dataclasses import replace as dc_replace
@@ -191,8 +192,8 @@ class TestJitLaunchDiscount:
         from repro.perfmodel.kernelcost import JIT_DISPATCH_FRACTION
 
         p = dc_replace(DEFAULT_PROFILE, launches_compiled=1e6)
-        jit = p.launch_overheads(10, graph=True, jit=True)
-        assert jit == pytest.approx(
+        graph = p.launch_overheads(10, graph=True)
+        assert graph == pytest.approx(
             JIT_DISPATCH_FRACTION * p.launches_graph(10))
 
     def test_default_profile_has_coverage(self):
@@ -206,8 +207,7 @@ class TestJitLaunchDiscount:
 
     def test_compute_time_jit_cheaper_under_graph(self):
         m = get_machine("new_sunway")
+        te = compute_time_per_step(DEFAULT_PROFILE, m, 1e6, 1e4, 10)
         tg = compute_time_per_step(DEFAULT_PROFILE, m, 1e6, 1e4, 10,
                                    graph=True)
-        tj = compute_time_per_step(DEFAULT_PROFILE, m, 1e6, 1e4, 10,
-                                   graph=True, jit=True)
-        assert tj < tg
+        assert tg < te

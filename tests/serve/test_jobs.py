@@ -45,7 +45,6 @@ class TestSignature:
         {"backend": "openmp"},
         {"precision": "single"},
         {"graph": False},
-        {"jit": False},
         {"n_passive": 1},
         {"seed": 7},
         {"trace": True},
